@@ -217,9 +217,11 @@ BENCHMARK(BM_UpdateWorkerResponsibility);
 void BM_UpdateItemResponsibility(benchmark::State& state) {
   FittedFixture& f = FittedFixture::Get();
   CpaModel model = f.model;
+  std::vector<double> previous_row(model.num_clusters());
   ItemId i = 0;
   for (auto _ : state) {
-    sweep::UpdateItemResponsibility(model, f.view, i, f.view.AnswersOfItem(i));
+    benchmark::DoNotOptimize(sweep::UpdateItemResponsibility(
+        model, f.view, i, f.view.AnswersOfItem(i), previous_row));
     i = (i + 1) % model.num_items();
   }
 }

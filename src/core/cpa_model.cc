@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
+#include "core/sweep/sweep_kernels.h"
 #include "engine/checkpoint.h"
 #include "util/logging.h"
 #include "util/special_functions.h"
@@ -189,18 +191,26 @@ double CpaModel::AnswerExpectedLogLik(std::size_t t, std::size_t m,
   return total;
 }
 
-void CpaModel::UpdateSizePrior(const AnswerMatrix& answers) {
+void CpaModel::UpdateSizePrior(const AnswerMatrix& answers,
+                               const SweepScheduler& scheduler) {
   std::size_t max_size = 1;
   for (const Answer& a : answers.answers()) {
     max_size = std::max(max_size, a.labels.size());
   }
   const std::size_t S = max_size + 2;  // allow completion beyond observed sizes
   size_prior.Reset(T_, S + 1, 0.5);    // Laplace smoothing
+  // ϕ rows are probability vectors (never negative), so the entries at or
+  // above the smallest denormal are exactly the nonzeros. Not the
+  // `kSkipMass` activity: dropping small nonzero mass would change bits.
+  sweep::ClusterActivity nonzeros;
+  sweep::BuildClusterActivity(phi, scheduler, nonzeros,
+                              std::numeric_limits<double>::denorm_min());
   for (const Answer& a : answers.answers()) {
-    const auto phi_row = phi.Row(a.item);
+    const auto clusters = nonzeros.ClustersOf(a.item);
+    const auto weights = nonzeros.WeightsOf(a.item);
     const std::size_t n = a.labels.size();
-    for (std::size_t t = 0; t < T_; ++t) {
-      size_prior(t, n) += phi_row[t];
+    for (std::size_t k = 0; k < clusters.size(); ++k) {
+      size_prior(clusters[k], n) += weights[k];
     }
   }
   size_prior.NormalizeRows();

@@ -38,6 +38,7 @@ namespace cpa {
 
 class CheckpointWriter;
 class CheckpointReader;
+class SweepScheduler;
 
 /// \brief Variational parameters, expectations and posterior accessors.
 class CpaModel {
@@ -128,8 +129,13 @@ class CpaModel {
                               const LabelSet& labels) const;
 
   /// Rebuilds `size_prior` from ϕ-weighted answer-set-size counts
-  /// (Laplace-smoothed rows over sizes 0..max|x|+2).
-  void UpdateSizePrior(const AnswerMatrix& answers);
+  /// (Laplace-smoothed rows over sizes 0..max|x|+2):
+  /// count(t, n) = 0.5 + Σ_{answers a, |x_a| = n} ϕ_{item(a), t}, summed in
+  /// answer order. Only the exact nonzeros of ϕ are visited (listed per
+  /// item on `scheduler`): adding +0.0 leaves a count bit-for-bit
+  /// unchanged, so the result equals the dense answers × T loop exactly
+  /// while touching ~nnz(ϕ) entries per answer instead of T.
+  void UpdateSizePrior(const AnswerMatrix& answers, const SweepScheduler& scheduler);
 
   /// \name Effective Beta prior of the θ channel.
   /// Calibrated from the data when `CpaOptions::theta_prior_mean` is 0

@@ -463,7 +463,7 @@ void CpaOnline::GlobalRefresh(const AnswerMatrix& answers) {
         // during batch ingestion drifts out of the size-biased stick
         // order as the stream evolves; prediction time is the moment to
         // realign (all of this still only reads seen data).
-        sweep::SeedClustersFromConsensus(model);
+        sweep::SeedClustersFromConsensus(model, scheduler);
       } else {
         // Evidence-only soft update for every item with evidence.
         scheduler.ParallelFor(

@@ -27,10 +27,10 @@
 ///   then one fixed horizontal combine `(l0+l1)+(l2+l3)`. The scalar
 ///   fallback implements exactly this shape with plain doubles; the AVX2
 ///   variant performs the same per-lane additions with vector instructions.
-/// - `max_value` is exempt from lane ordering: max is a pure selection, so
-///   any association yields identical bits (both forms skip NaN inputs the
-///   same way), and the AVX2 variant exploits that with extra accumulator
-///   chains to beat the vmaxpd latency.
+/// - `max_value`, `max_abs` and `max_abs_diff` are exempt from lane
+///   ordering: max is a pure selection, so any association yields identical
+///   bits (both forms skip NaN inputs the same way), and the AVX2 variants
+///   exploit that with extra accumulator chains to beat the vmaxpd latency.
 /// - `exp` stays per-lane scalar `std::exp` in both variants (a vectorized
 ///   polynomial would diverge from libm in the last ulp), and no variant may
 ///   use FMA (it rounds once where mul+add rounds twice).
@@ -85,6 +85,12 @@ struct Kernels {
   double (*dot)(const double* a, const double* b, std::size_t n);
   /// Lane-ordered running max (std::max semantics); -inf for n == 0.
   double (*max_value)(const double* v, std::size_t n);
+  /// max_i |v[i]| from +0 (std::max semantics: NaN entries are skipped);
+  /// 0 for n == 0. A pure selection, exempt from lane ordering like
+  /// `max_value` — the ϕ writers' row change.
+  double (*max_abs)(const double* v, std::size_t n);
+  /// max_i |a[i] − b[i]|, same semantics as `max_abs`.
+  double (*max_abs_diff)(const double* a, const double* b, std::size_t n);
   /// Numerically stable ln Σ exp(v[i]); -inf for n == 0.
   double (*log_sum_exp)(const double* v, std::size_t n);
   /// Dense softmax in place; returns the log-normaliser (uniform fill on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -18,6 +19,9 @@ namespace {
 constexpr std::size_t kAnswerGrain = 2048;
 constexpr std::size_t kItemGrain = 256;
 constexpr std::size_t kRowGrain = 1024;
+/// The Eq. 3 item sweep: one row costs O(T · evidence labels), far more
+/// than a REDUCE row, so its blocks are finer than `kItemGrain`.
+constexpr std::size_t kItemSweepGrain = 8;
 
 /// Cap on the total per-call λ reduce scratch, in bank entries (doubles):
 /// 8M entries = 64 MB, ≈ the λ budget of `CpaOptions::Recommended`.
@@ -207,11 +211,13 @@ void AddEvidenceTerm(const CpaModel& model, ItemId i, std::span<double> scores,
   }
 }
 
-void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
-                              std::span<const std::uint32_t> indices) {
+double UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
+                                std::span<const std::uint32_t> indices,
+                                std::span<double> previous_row) {
   const std::size_t M = model.num_communities();
   const std::size_t T = model.num_clusters();
   auto scores = model.phi.Row(i);
+  std::copy(scores.begin(), scores.end(), previous_row.begin());
   for (std::size_t t = 0; t < T; ++t) scores[t] = model.elog_tau[t];
   AddEvidenceTerm(model, i, scores);
   // Optional answer term (Eq. 3 omits it; see cpa_options.h).
@@ -235,6 +241,37 @@ void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
     }
   }
   SoftmaxInPlace(scores, kSoftmaxFloorNats);
+  return MaxAbsDiff(scores, previous_row.first(T));
+}
+
+double UpdateItemResponsibilities(CpaModel& model, const AnswerView& view,
+                                  const SweepScheduler& scheduler) {
+  const std::size_t T = model.num_clusters();
+  // Each block keeps its own copy buffer for the row being replaced and the
+  // largest row change it saw; max is order-free, so the merged result does
+  // not depend on the partition or the thread count.
+  struct Partial {
+    std::span<double> previous_row;
+    double change;
+  };
+  double change = 0.0;
+  scheduler.ParallelReduce<Partial>(
+      model.num_items(), kItemSweepGrain,
+      [T](ScratchArena& arena) { return Partial{arena.Alloc<double>(T), 0.0}; },
+      [&](Partial& partial, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto item = static_cast<ItemId>(i);
+          partial.change = std::max(
+              partial.change, UpdateItemResponsibility(model, view, item,
+                                                       view.AnswersOfItem(item),
+                                                       partial.previous_row));
+        }
+      },
+      [](Partial& into, Partial& from) {
+        into.change = std::max(into.change, from.change);
+      },
+      [&](Partial& root) { change = root.change; });
+  return change;
 }
 
 void UpdateItemResponsibilityFromEvidence(CpaModel& model, ItemId i) {
@@ -617,16 +654,22 @@ LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item) {
   return consensus;
 }
 
-void WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
+double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster) {
   // One-hot: any residual spread would leak every seeded item's evidence
   // into every cluster's statistics (the offline fit recomputes ϕ each
   // sweep, but the online learner only revisits items when they reappear).
   auto row = model.phi.Row(item);
+  // max_t |new − old| of a one-hot row: |1 − old| on the seeded entry and
+  // |0 − old| = |old| on the rest.
+  const double change =
+      std::max(std::max(MaxAbs(row.first(cluster)), MaxAbs(row.subspan(cluster + 1))),
+               std::abs(1.0 - row[cluster]));
   std::fill(row.begin(), row.end(), 0.0);
   row[cluster] = 1.0;
+  return change;
 }
 
-void SeedClustersFromConsensus(CpaModel& model) {
+double SeedClustersFromConsensus(CpaModel& model, const SweepScheduler& scheduler) {
   // Symmetry breaking for the item clusters: items sharing an identical
   // majority-consensus label set start in the same cluster. Distinct
   // consensus sets are ranked by frequency and assigned cluster indices in
@@ -637,7 +680,7 @@ void SeedClustersFromConsensus(CpaModel& model) {
   // aligned seeding the truncated mixture routinely locks into clusterings
   // uncorrelated with the label structure.
   const std::size_t T = model.num_clusters();
-  if (T <= 1) return;
+  if (T <= 1) return 0.0;
 
   struct Group {
     LabelSet consensus;
@@ -659,9 +702,15 @@ void SeedClustersFromConsensus(CpaModel& model) {
     return a->consensus.labels()[0] < b->consensus.labels()[0];  // deterministic
   });
 
+  // Each item's seed cluster first; the rows are written afterwards, in
+  // parallel (every item belongs to one group, so the rows are disjoint).
+  constexpr std::uint32_t kUnseeded = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> seed_cluster(model.num_items(), kUnseeded);
   const std::size_t assigned = std::min(ranked.size(), T);
   for (std::size_t rank = 0; rank < assigned; ++rank) {
-    for (ItemId i : ranked[rank]->items) WriteSeedRow(model, i, rank);
+    for (ItemId i : ranked[rank]->items) {
+      seed_cluster[i] = static_cast<std::uint32_t>(rank);
+    }
   }
   // Overflow sets: join the assigned cluster with the best Jaccard match.
   for (std::size_t rank = assigned; rank < ranked.size(); ++rank) {
@@ -675,8 +724,24 @@ void SeedClustersFromConsensus(CpaModel& model) {
         best_cluster = candidate;
       }
     }
-    for (ItemId i : ranked[rank]->items) WriteSeedRow(model, i, best_cluster);
+    for (ItemId i : ranked[rank]->items) {
+      seed_cluster[i] = static_cast<std::uint32_t>(best_cluster);
+    }
   }
+
+  double change = 0.0;
+  scheduler.ParallelReduce<double>(
+      model.num_items(), kItemGrain, [](ScratchArena&) { return 0.0; },
+      [&](double& partial, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          if (seed_cluster[i] == kUnseeded) continue;
+          partial = std::max(
+              partial, WriteSeedRow(model, static_cast<ItemId>(i), seed_cluster[i]));
+        }
+      },
+      [](double& into, double& from) { into = std::max(into, from); },
+      [&](double& root) { change = root; });
+  return change;
 }
 
 }  // namespace cpa::sweep

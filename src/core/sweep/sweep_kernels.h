@@ -93,9 +93,19 @@ void UpdateWorkerResponsibility(CpaModel& model, const AnswerView& view, WorkerI
                                 const ClusterActivity* activity);
 
 /// Eq. 3 (+ optional answer evidence): recomputes ϕ row `i` from the answers
-/// of item `i` and the item's label evidence ỹ_i.
-void UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
-                              std::span<const std::uint32_t> indices);
+/// of item `i` and the item's label evidence ỹ_i. `previous_row` (T
+/// doubles of caller scratch) receives the old row; returns the row's
+/// change max_t |ϕ_it(new) − ϕ_it(old)|, measured while both are in cache.
+double UpdateItemResponsibility(CpaModel& model, const AnswerView& view, ItemId i,
+                                std::span<const std::uint32_t> indices,
+                                std::span<double> previous_row);
+
+/// The offline item sweep: Eq. 3 over every item, sharded over the
+/// scheduler. Returns max_{i,t} |ϕ_it(new) − ϕ_it(old)| — bit-for-bit the
+/// dense `MaxAbsDiff` of ϕ before and after the sweep (max is order-free),
+/// with no I×T snapshot of the old ϕ.
+double UpdateItemResponsibilities(CpaModel& model, const AnswerView& view,
+                                  const SweepScheduler& scheduler);
 
 /// The evidence-only ϕ row update (Eq. 3 without the answer term): the SVI
 /// local phase for re-seen items and the global-refresh soft update.
@@ -181,13 +191,17 @@ void UpdateThetaChannel(CpaModel& model, const ClusterActivity& activity,
 /// the item has no evidence.
 LabelSet ConsensusFromEvidence(const CpaModel& model, ItemId item);
 
-/// Seeds one ϕ row one-hot on `cluster`.
-void WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
+/// Seeds one ϕ row one-hot on `cluster`. Returns the row's change
+/// max_t |ϕ_it(new) − ϕ_it(old)|.
+double WriteSeedRow(CpaModel& model, ItemId item, std::size_t cluster);
 
 /// Initialises ϕ rows so items with identical majority-consensus label
 /// sets start in the same cluster, with clusters assigned in consensus-
 /// frequency order (matched to the size-biased stick-breaking geometry).
-void SeedClustersFromConsensus(CpaModel& model);
+/// The grouping runs on the calling thread; the row writes are sharded
+/// over `scheduler`. Returns the largest row change over the rows it seeded
+/// (rows of items without evidence are left as they are); 0 when T ≤ 1.
+double SeedClustersFromConsensus(CpaModel& model, const SweepScheduler& scheduler);
 
 /// @}
 

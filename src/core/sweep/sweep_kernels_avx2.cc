@@ -11,7 +11,7 @@
 /// (AVX2 alone does not enable it, and the target attribute spells only
 /// "avx2"), keeping mul+add double-rounding identical across variants.
 ///
-/// The moved entry points: `cpa::Sum`/`Dot`/`Axpy` (declared in
+/// The moved entry points: `cpa::Sum`/`Dot`/`Axpy`/`MaxAbs`/`MaxAbsDiff` (declared in
 /// util/matrix.h) and `cpa::LogSumExp`/`SoftmaxInPlace` (declared in
 /// util/special_functions.h) are defined here rather than in their util
 /// TUs, so every caller — sweep kernels, prediction, SVI, the CBCC/BCC
@@ -104,6 +104,34 @@ double MaxValueScalar(const double* v, std::size_t n) {
   return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 }
 
+double MaxAbsScalar(const double* v, std::size_t n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = std::max(lane[0], std::abs(v[i + 0]));
+    lane[1] = std::max(lane[1], std::abs(v[i + 1]));
+    lane[2] = std::max(lane[2], std::abs(v[i + 2]));
+    lane[3] = std::max(lane[3], std::abs(v[i + 3]));
+  }
+  for (std::size_t l = 0; i < n; ++i, ++l) lane[l] = std::max(lane[l], std::abs(v[i]));
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
+double MaxAbsDiffScalar(const double* a, const double* b, std::size_t n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = std::max(lane[0], std::abs(a[i + 0] - b[i + 0]));
+    lane[1] = std::max(lane[1], std::abs(a[i + 1] - b[i + 1]));
+    lane[2] = std::max(lane[2], std::abs(a[i + 2] - b[i + 2]));
+    lane[3] = std::max(lane[3], std::abs(a[i + 3] - b[i + 3]));
+  }
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    lane[l] = std::max(lane[l], std::abs(a[i] - b[i]));
+  }
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
 /// Lane-ordered Σ exp(v[i] - shift). `exp` is per-lane `std::exp` at every
 /// level, so the only vectorizable work is the shift — kept anyway for the
 /// shared shape.
@@ -172,8 +200,9 @@ double SoftmaxFlooredScalar(double* v, std::size_t n, double floor_nats) {
 }
 
 constexpr Kernels kScalarKernels = {
-    AccumulateScalar, AxpyScalar,    SumScalar,     DotScalar,
-    MaxValueScalar,   LogSumExpScalar, SoftmaxScalar, SoftmaxFlooredScalar,
+    AccumulateScalar, AxpyScalar,      SumScalar,       DotScalar,
+    MaxValueScalar,   MaxAbsScalar,    MaxAbsDiffScalar, LogSumExpScalar,
+    SoftmaxScalar,    SoftmaxFlooredScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -277,6 +306,62 @@ CPA_TARGET_AVX2 double MaxValueAvx2(const double* v, std::size_t n) {
   return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
 }
 
+// |x| clears the sign bit (andnot with -0.0), bit for bit what std::abs
+// does, NaN payloads included; vmaxpd(x, acc) then keeps acc for NaN x and
+// for ties exactly like std::max(acc, x) — see MaxValueAvx2. The lanes
+// start at +0 and every |x| is ≥ +0, so they never hold a NaN or a -0.
+CPA_TARGET_AVX2 inline __m256d MaxAbsStep(__m256d x, __m256d acc) {
+  return _mm256_max_pd(_mm256_andnot_pd(_mm256_set1_pd(-0.0), x), acc);
+}
+
+CPA_TARGET_AVX2 double MaxAbsAvx2(const double* v, std::size_t n) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = acc0;
+  __m256d acc2 = acc0;
+  __m256d acc3 = acc0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = MaxAbsStep(_mm256_loadu_pd(v + i), acc0);
+    acc1 = MaxAbsStep(_mm256_loadu_pd(v + i + 4), acc1);
+    acc2 = MaxAbsStep(_mm256_loadu_pd(v + i + 8), acc2);
+    acc3 = MaxAbsStep(_mm256_loadu_pd(v + i + 12), acc3);
+  }
+  for (; i + 4 <= n; i += 4) acc0 = MaxAbsStep(_mm256_loadu_pd(v + i), acc0);
+  acc0 = _mm256_max_pd(_mm256_max_pd(acc1, acc2), _mm256_max_pd(acc3, acc0));
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, acc0);
+  for (std::size_t l = 0; i < n; ++i, ++l) lane[l] = std::max(lane[l], std::abs(v[i]));
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
+CPA_TARGET_AVX2 inline __m256d DiffAt(const double* a, const double* b,
+                                      std::size_t i) {
+  return _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+}
+
+CPA_TARGET_AVX2 double MaxAbsDiffAvx2(const double* a, const double* b,
+                                      std::size_t n) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = acc0;
+  __m256d acc2 = acc0;
+  __m256d acc3 = acc0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = MaxAbsStep(DiffAt(a, b, i), acc0);
+    acc1 = MaxAbsStep(DiffAt(a, b, i + 4), acc1);
+    acc2 = MaxAbsStep(DiffAt(a, b, i + 8), acc2);
+    acc3 = MaxAbsStep(DiffAt(a, b, i + 12), acc3);
+  }
+  for (; i + 4 <= n; i += 4) acc0 = MaxAbsStep(DiffAt(a, b, i), acc0);
+  acc0 = _mm256_max_pd(_mm256_max_pd(acc1, acc2), _mm256_max_pd(acc3, acc0));
+  alignas(32) double lane[4];
+  _mm256_store_pd(lane, acc0);
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    lane[l] = std::max(lane[l], std::abs(a[i] - b[i]));
+  }
+  return std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
+}
+
 // exp dominates and stays per-lane scalar at every level, so the AVX2
 // variant reuses the scalar body verbatim — a vector subtract would have to
 // round-trip through the stack to feed `std::exp` and measures *slower*
@@ -356,8 +441,9 @@ CPA_TARGET_AVX2 double SoftmaxFlooredAvx2(double* v, std::size_t n,
 }
 
 constexpr Kernels kAvx2Kernels = {
-    AccumulateAvx2, AxpyAvx2,      SumAvx2,     DotAvx2,
-    MaxValueAvx2,   LogSumExpAvx2, SoftmaxAvx2, SoftmaxFlooredAvx2,
+    AccumulateAvx2, AxpyAvx2,   SumAvx2,        DotAvx2,
+    MaxValueAvx2,   MaxAbsAvx2, MaxAbsDiffAvx2, LogSumExpAvx2,
+    SoftmaxAvx2,    SoftmaxFlooredAvx2,
 };
 
 #endif  // CPA_SIMD_HAVE_AVX2
@@ -493,6 +579,15 @@ double Dot(std::span<const double> a, std::span<const double> b) {
 void Axpy(double scale, std::span<const double> in, std::span<double> out) {
   CPA_CHECK_EQ(in.size(), out.size());
   simd::Active().axpy(scale, in.data(), out.data(), out.size());
+}
+
+double MaxAbs(std::span<const double> v) {
+  return simd::Active().max_abs(v.data(), v.size());
+}
+
+double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
+  CPA_CHECK_EQ(a.size(), b.size());
+  return simd::Active().max_abs_diff(a.data(), b.data(), a.size());
 }
 
 double LogSumExp(std::span<const double> values) {

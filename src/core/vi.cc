@@ -40,7 +40,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   // items into arbitrary clusters that then self-reinforce.
   sweep::UpdateLabelEvidence(model, view, fit.observed_truth, nullptr, scheduler);
   if (!options.singleton_clusters) {
-    sweep::SeedClustersFromConsensus(model);
+    sweep::SeedClustersFromConsensus(model, scheduler);
   }
   sweep::BuildClusterActivity(model.phi, scheduler, activity);
   sweep::UpdateZeta(model, activity, scheduler);
@@ -49,7 +49,6 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
   model.RefreshExpectations();
 
   Matrix previous_kappa = model.kappa;
-  Matrix previous_phi = model.phi;
   std::vector<LabelSet> self_training_labels;
   bool evidence_frozen = false;
 
@@ -73,19 +72,14 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
           },
           /*min_shard=*/8);
     }
+    // ϕ is written at most once per sweep — by the item sweep here or by
+    // the reseeding below — and each writer reports its largest row change,
+    // so the sweep's ϕ change needs no copy of the previous ϕ.
+    double phi_change = 0.0;
     const bool reseed_sweep =
         !options.singleton_clusters && iter < options.reseed_sweeps && !evidence_frozen;
     if (!options.singleton_clusters && !reseed_sweep) {
-      scheduler.ParallelFor(
-          model.num_items(),
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              sweep::UpdateItemResponsibility(
-                  model, view, static_cast<ItemId>(i),
-                  view.AnswersOfItem(static_cast<ItemId>(i)));
-            }
-          },
-          /*min_shard=*/8);
+      phi_change = sweep::UpdateItemResponsibilities(model, view, scheduler);
       sweep::BuildClusterActivity(model.phi, scheduler, activity);
     }
 
@@ -103,7 +97,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       if (options.label_evidence == LabelEvidence::kSelfTraining && iter > 0) {
         sweep::UpdateThetaChannel(model, activity, scheduler);
         model.RefreshExpectations();
-        model.UpdateSizePrior(answers);
+        model.UpdateSizePrior(answers, scheduler);
         // Scheduled on the fit's own scheduler: the self-training predict
         // pass reuses the already-warm lane arenas.
         auto predicted = PredictLabels(model, answers, scheduler);
@@ -120,7 +114,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (reseed_sweep) {
       // Re-derive the hard consensus grouping from the freshly sharpened
       // evidence (see `reseed_sweeps` in cpa_options.h).
-      sweep::SeedClustersFromConsensus(model);
+      phi_change = sweep::SeedClustersFromConsensus(model, scheduler);
       sweep::BuildClusterActivity(model.phi, scheduler, activity);
       sweep::UpdateSticks(model.upsilon, model.phi, options.epsilon, scheduler);
       sweep::UpdateLambda(model, view, activity, scheduler);
@@ -133,12 +127,10 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
       out.elbo_trace.push_back(ComputeElbo(model, answers));
     }
 
-    const double change = std::max(model.kappa.MaxAbsDiff(previous_kappa),
-                                   model.phi.MaxAbsDiff(previous_phi));
+    const double change = std::max(model.kappa.MaxAbsDiff(previous_kappa), phi_change);
     out.iterations = iter + 1;
     out.final_change = change;
     previous_kappa = model.kappa;
-    previous_phi = model.phi;
     if (change < options.tolerance) {
       out.converged = true;
       break;
@@ -146,7 +138,7 @@ Result<CpaModel> FitCpa(const AnswerMatrix& answers, std::size_t num_labels,
     if (change < 10.0 * options.tolerance) evidence_frozen = true;
   }
 
-  model.UpdateSizePrior(answers);
+  model.UpdateSizePrior(answers, scheduler);
   return model;
 }
 

@@ -31,6 +31,10 @@ namespace cpa {
 /// \brief Diagnostics of a fit.
 struct FitStats {
   std::size_t iterations = 0;
+  /// The last sweep's change max(max|Δκ|, max|Δϕ|) over every entry — the
+  /// statistic compared against `CpaOptions::tolerance`. The ϕ part is
+  /// reported by the ϕ writers row by row, yet equals the dense
+  /// max |ϕ_new − ϕ_old| over the whole I×T matrix bit for bit.
   double final_change = 0.0;
   bool converged = false;
 

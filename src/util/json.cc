@@ -31,14 +31,26 @@ class JsonParser {
       return Status::InvalidArgument(Error("unexpected end of input"));
     }
     switch (text_[pos_]) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{': return ParseNested(&JsonParser::ParseObject);
+      case '[': return ParseNested(&JsonParser::ParseArray);
       case '"': return ParseString();
       case 't': return ParseLiteral("true", JsonValue(true));
       case 'f': return ParseLiteral("false", JsonValue(false));
       case 'n': return ParseLiteral("null", JsonValue());
       default: return ParseNumber();
     }
+  }
+
+  /// Runs one container parser a level deeper, refusing to recurse past
+  /// `JsonValue::kMaxDepth`.
+  Result<JsonValue> ParseNested(Result<JsonValue> (JsonParser::*parse)()) {
+    if (depth_ >= JsonValue::kMaxDepth) {
+      return Status::InvalidArgument(Error("nesting deeper than the depth limit"));
+    }
+    ++depth_;
+    Result<JsonValue> value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   Result<JsonValue> ParseObject() {
@@ -172,6 +184,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open around `pos_`
 };
 
 void EscapeStringTo(std::ostream& os, const std::string& s) {

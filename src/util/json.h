@@ -10,6 +10,7 @@
 /// the grammar `Dump` emits. Not a general-purpose JSON library; lives
 /// here so reports and configs can be validated without external deps.
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <string_view>
@@ -36,7 +37,15 @@ class JsonValue {
   explicit JsonValue(Object value)
       : kind_(Kind::kObject), object_(std::move(value)) {}
 
-  /// Parses `text` as a single JSON document (trailing garbage is an error).
+  /// Deepest array/object nesting `Parse` accepts. The parser recurses
+  /// once per level, so without a bound a few hundred KB of `[` (far under
+  /// the server's frame cap) overflow the stack; the repo's documents nest
+  /// fewer than ten levels.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// Parses `text` as a single JSON document (trailing garbage is an error;
+  /// so is nesting deeper than `kMaxDepth`, reported as InvalidArgument
+  /// before the parser descends further).
   static Result<JsonValue> Parse(std::string_view text);
 
   Kind kind() const { return kind_; }

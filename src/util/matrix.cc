@@ -47,9 +47,9 @@ std::size_t Matrix::ArgMaxRow(std::size_t r) const {
       std::max_element(row.begin(), row.end()) - row.begin());
 }
 
-// Sum, Dot and Axpy are defined in core/sweep/sweep_kernels_avx2.cc — the
-// dispatched-kernel TU — so the span primitives run the runtime-selected
-// scalar/AVX2 variant everywhere.
+// Sum, Dot, Axpy, MaxAbs and MaxAbsDiff are defined in
+// core/sweep/sweep_kernels_avx2.cc — the dispatched-kernel TU — so the span
+// primitives run the runtime-selected scalar/AVX2 variant everywhere.
 
 double NormalizeInPlace(std::span<double> v) {
   const double total = Sum(v);
@@ -70,15 +70,6 @@ double CosineSimilarity(std::span<const double> a, std::span<const double> b) {
   const double nb = std::sqrt(Dot(b, b));
   if (na <= 0.0 || nb <= 0.0) return 0.0;
   return dot / (na * nb);
-}
-
-double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
-  CPA_CHECK_EQ(a.size(), b.size());
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
-  }
-  return max_diff;
 }
 
 }  // namespace cpa

@@ -112,7 +112,12 @@ double CosineSimilarity(std::span<const double> a, std::span<const double> b);
 /// out[i] += scale * in[i].
 void Axpy(double scale, std::span<const double> in, std::span<double> out);
 
-/// Largest absolute element-wise difference.
+/// Largest absolute value; 0 for an empty span. NaN entries are skipped.
+double MaxAbs(std::span<const double> v);
+
+/// Largest absolute element-wise difference max_i |a[i] − b[i]|; 0 for
+/// empty spans. NaN differences are skipped. The result is a pure
+/// selection, so it is the same bits for any order of the elements.
 double MaxAbsDiff(std::span<const double> a, std::span<const double> b);
 
 /// @}

@@ -1,10 +1,17 @@
 #include "core/cpa_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "core/sweep/sweep_kernels.h"
+#include "core/sweep/sweep_scheduler.h"
+#include "core/vi.h"
 #include "util/special_functions.h"
+#include "util/thread_pool.h"
 
 namespace cpa {
 namespace {
@@ -157,7 +164,8 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
   ASSERT_TRUE(answers.Add(0, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(1, 0, LabelSet{0, 1}).ok());
   ASSERT_TRUE(answers.Add(2, 1, LabelSet{2}).ok());
-  m.UpdateSizePrior(answers);
+  const SweepScheduler scheduler;
+  m.UpdateSizePrior(answers, scheduler);
   // Rows normalised, with most mass on sizes 1 and 2.
   for (std::size_t t = 0; t < m.num_clusters(); ++t) {
     EXPECT_NEAR(Sum(m.size_prior.Row(t)), 1.0, 1e-9);
@@ -170,6 +178,88 @@ TEST(CpaModelTest, UpdateSizePriorTracksAnswerSizes) {
     size4 += m.size_prior(t, 4);
   }
   EXPECT_GT(size2, size4);
+}
+
+/// The dense size prior the sparse one must reproduce: every answer adds
+/// its item's whole ϕ row, zeros included, in answer order.
+Matrix DenseSizePrior(const CpaModel& m, const AnswerMatrix& answers) {
+  std::size_t max_size = 1;
+  for (const Answer& a : answers.answers()) {
+    max_size = std::max(max_size, a.labels.size());
+  }
+  Matrix prior(m.num_clusters(), max_size + 3, 0.5);
+  for (const Answer& a : answers.answers()) {
+    const auto phi_row = m.phi.Row(a.item);
+    for (std::size_t t = 0; t < m.num_clusters(); ++t) {
+      prior(t, a.labels.size()) += phi_row[t];
+    }
+  }
+  prior.NormalizeRows();
+  return prior;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.Data().data(), b.Data().data(),
+                     a.Data().size() * sizeof(double)) == 0;
+}
+
+TEST(CpaModelTest, SparseSizePriorMatchesDenseOracleBitForBit) {
+  constexpr std::size_t kItems = 90;
+  constexpr std::size_t kWorkers = 25;
+  constexpr std::size_t kLabels = 8;
+  // Answers in worker-major order, so they are not grouped by item.
+  Rng rng(42);
+  AnswerMatrix answers(kItems, kWorkers);
+  for (WorkerId u = 0; u < kWorkers; ++u) {
+    for (ItemId i = 0; i < kItems; ++i) {
+      if (!rng.NextBernoulli(0.3)) continue;
+      LabelSet labels;
+      const std::size_t size = 1 + rng.NextBounded(4);
+      while (labels.size() < size) {
+        labels.Add(static_cast<LabelId>(rng.NextBounded(kLabels)));
+      }
+      ASSERT_TRUE(answers.Add(i, u, std::move(labels)).ok());
+    }
+  }
+  ASSERT_NE(answers.answers()[0].item, answers.answers()[1].item);
+
+  CpaOptions options;
+  options.max_communities = 4;
+  options.max_clusters = 24;
+  options.max_iterations = 8;
+  auto fitted = FitCpa(answers, kLabels, options);
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  CpaModel& m = fitted.value();
+  // Plant the entries the sparse pass must treat exactly: tiny nonzeros
+  // (below the kernels' skip mass, down to a denormal) and exact zeros
+  // next to them, on rows of answered items.
+  m.phi(0, 1) = 3e-9;
+  m.phi(0, 2) = std::numeric_limits<double>::denorm_min();
+  m.phi(1, 3) = 0.0;
+  m.phi(2, 5) = 1e-300;
+  std::size_t zeros = 0;
+  std::size_t tiny = 0;
+  for (double v : m.phi.Data()) {
+    zeros += v == 0.0;
+    tiny += v > 0.0 && v < sweep::kSkipMass;
+  }
+  EXPECT_GT(zeros, 0u);
+  EXPECT_GE(tiny, 3u);
+
+  const Matrix oracle = DenseSizePrior(m, answers);
+  ThreadPool pool(4);
+  for (Executor* executor :
+       {static_cast<Executor*>(nullptr), static_cast<Executor*>(&pool)}) {
+    const SweepScheduler scheduler(executor);
+    m.UpdateSizePrior(answers, scheduler);
+    EXPECT_TRUE(SameBits(m.size_prior, oracle))
+        << "threads " << scheduler.num_threads();
+  }
+  // The planted tiny masses do reach the counts: dropping them (as the
+  // kSkipMass activity would) changes the result.
+  m.phi(0, 1) = 0.0;
+  EXPECT_FALSE(SameBits(DenseSizePrior(m, answers), oracle));
 }
 
 TEST(CpaModelTest, PosteriorMeansNormalised) {

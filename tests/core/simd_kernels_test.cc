@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -110,6 +111,39 @@ TEST_F(SimdKernelsTest, SumDotMaxExactlyMatchScalar) {
       EXPECT_TRUE(BitEqual(scalar_.max_value(m.data() + offset, n),
                            avx2_.max_value(m.data() + offset, n)))
           << "max n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST_F(SimdKernelsTest, MaxAbsAndMaxAbsDiffExactlyMatchScalar) {
+  // Rows with NaN, ±inf and -0 entries: every form must skip the NaNs, and
+  // both must match one running std::max from +0.
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  for (std::size_t n : kSizes) {
+    for (std::size_t offset : kAlignOffsets) {
+      std::vector<double> a = RandomRow(rng_, n + offset, 0.05);
+      std::vector<double> b = RandomRow(rng_, n + offset, 0.0);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const double r = coin(rng_);
+        if (r < 0.05) a[i] = std::numeric_limits<double>::quiet_NaN();
+        if (r > 0.95) a[i] = b[i] = -0.0;
+      }
+      const double* pa = a.data() + offset;
+      const double* pb = b.data() + offset;
+      double chain = 0.0;
+      double diff_chain = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        chain = std::max(chain, std::abs(pa[i]));
+        diff_chain = std::max(diff_chain, std::abs(pa[i] - pb[i]));
+      }
+      EXPECT_TRUE(BitEqual(scalar_.max_abs(pa, n), chain))
+          << "max_abs scalar n=" << n << " offset=" << offset;
+      EXPECT_TRUE(BitEqual(avx2_.max_abs(pa, n), chain))
+          << "max_abs avx2 n=" << n << " offset=" << offset;
+      EXPECT_TRUE(BitEqual(scalar_.max_abs_diff(pa, pb, n), diff_chain))
+          << "max_abs_diff scalar n=" << n << " offset=" << offset;
+      EXPECT_TRUE(BitEqual(avx2_.max_abs_diff(pa, pb, n), diff_chain))
+          << "max_abs_diff avx2 n=" << n << " offset=" << offset;
     }
   }
 }

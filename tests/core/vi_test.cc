@@ -1,5 +1,8 @@
 #include "core/vi.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
@@ -111,6 +114,53 @@ TEST(FitCpaTest, ParallelFitMatchesSequentialExactly) {
   EXPECT_DOUBLE_EQ(sequential.value().kappa.MaxAbsDiff(parallel.value().kappa), 0.0);
   EXPECT_DOUBLE_EQ(sequential.value().phi.MaxAbsDiff(parallel.value().phi), 0.0);
   EXPECT_DOUBLE_EQ(sequential.value().zeta.MaxAbsDiff(parallel.value().zeta), 0.0);
+}
+
+TEST(FitCpaTest, FinalChangeEqualsTheDenseDiffOfConsecutiveSweeps) {
+  // Oracle for the convergence statistic: a fit capped at k + 1 sweeps
+  // repeats the k-sweep fit's trajectory one sweep further, so its
+  // final_change must equal the dense max |Δκ|, max |Δϕ| between the two
+  // returned models — bit for bit. k = 1..5 spans the reseed sweeps
+  // (`reseed_sweeps` = 3) and the Eq. 3 item sweeps after them.
+  const TestWorld world = MakeWorld(13, PopulationMix::PaperSimulationDefault(), 120);
+  CpaOptions self_training = FastOptions();
+  self_training.label_evidence = LabelEvidence::kSelfTraining;
+  ASSERT_EQ(FastOptions().reseed_sweeps, 3u);
+  ThreadPool pool(4);
+  for (const CpaOptions& base : {FastOptions(), self_training}) {
+    for (std::size_t k = 1; k <= 5; ++k) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " evidence="
+                                      << static_cast<int>(base.label_evidence));
+      std::vector<double> changes;
+      for (Executor* executor : {static_cast<Executor*>(nullptr),
+                                 static_cast<Executor*>(&pool)}) {
+        FitOptions fit;
+        fit.pool = executor;
+        CpaOptions options = base;
+        options.max_iterations = k;
+        FitStats before_stats;
+        const auto before =
+            FitCpa(world.dataset.answers, 12, options, fit, &before_stats);
+        options.max_iterations = k + 1;
+        FitStats after_stats;
+        const auto after = FitCpa(world.dataset.answers, 12, options, fit, &after_stats);
+        ASSERT_TRUE(before.ok());
+        ASSERT_TRUE(after.ok());
+        // Neither fit stopped early, so `before` is the state after sweep k.
+        ASSERT_EQ(before_stats.iterations, k);
+        ASSERT_FALSE(before_stats.converged);
+        EXPECT_EQ(after_stats.iterations, k + 1);
+        const double dense =
+            std::max(after.value().kappa.MaxAbsDiff(before.value().kappa),
+                     after.value().phi.MaxAbsDiff(before.value().phi));
+        EXPECT_EQ(after_stats.final_change, dense);
+        EXPECT_GT(after_stats.final_change, 0.0);
+        EXPECT_EQ(after_stats.converged, after_stats.final_change < options.tolerance);
+        changes.push_back(after_stats.final_change);
+      }
+      EXPECT_EQ(changes[0], changes[1]) << "1 vs 4 threads";
+    }
+  }
 }
 
 TEST(FitCpaTest, ClustersGroupItemsBySharedLabelSets) {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -178,6 +179,29 @@ TEST(ConsensusServerTest, ServeHandlesLineDelimitedStreams) {
     ++count;
   }
   EXPECT_EQ(count, 4u);  // one response per non-blank request
+}
+
+TEST(ConsensusServerTest, ServeRepliesToDeepJsonAndKeepsServing) {
+  // 400 KB of '[' on one line used to overflow the parser's stack and take
+  // the whole process down; now it is one error reply among the others.
+  ConsensusServer server;
+  std::istringstream in(std::string(kOpenRequest) + "\n" +
+                        std::string(400 * 1024, '[') + "\n" +
+                        R"({"op":"observe","session":"t1","answers":)"
+                        R"([{"item":1,"worker":0,"labels":[2]}]})" +
+                        "\n" + R"({"op":"close","session":"t1"})" + "\n");
+  std::ostringstream out;
+  server.Serve(in, out);
+
+  std::istringstream responses(out.str());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(responses, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  MustParse(lines[0], true);
+  const JsonValue error = MustParse(lines[1], false);
+  EXPECT_EQ(StringField(error, "code"), "InvalidArgument");
+  EXPECT_EQ(NumberField(MustParse(lines[2], true), "answers_seen"), 1.0);
+  MustParse(lines[3], true);
 }
 
 TEST(ConsensusServerTest, IdleTimeoutExpiresSessionsBetweenRequests) {

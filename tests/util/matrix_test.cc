@@ -1,8 +1,15 @@
 #include "util/matrix.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace cpa {
 namespace {
@@ -112,6 +119,35 @@ TEST(VectorKernelsTest, MaxAbsDiffSpan) {
   const std::vector<double> a = {1.0, -2.0};
   const std::vector<double> b = {0.5, 2.0};
   EXPECT_DOUBLE_EQ(MaxAbsDiff(a, b), 4.0);
+}
+
+TEST(VectorKernelsTest, MaxAbsMatchesOneSequentialChainBitForBit) {
+  // The kernels scan in independent lanes; the result must be what one
+  // running std::max from +0 gives, NaN entries and -0 included, for every
+  // tail length.
+  Rng rng(9);
+  for (std::size_t n = 0; n <= 13; ++n) {
+    std::vector<double> a(n);
+    std::vector<double> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.NextDouble() - 0.5;
+      b[i] = rng.NextDouble() - 0.5;
+      if (i % 5 == 3) a[i] = std::numeric_limits<double>::quiet_NaN();
+      if (i % 7 == 6) a[i] = b[i] = -0.0;
+    }
+    double chain = 0.0;
+    double diff_chain = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      chain = std::max(chain, std::abs(a[i]));
+      diff_chain = std::max(diff_chain, std::abs(a[i] - b[i]));
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(MaxAbs(a)),
+              std::bit_cast<std::uint64_t>(chain))
+        << n;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(MaxAbsDiff(a, b)),
+              std::bit_cast<std::uint64_t>(diff_chain))
+        << n;
+  }
 }
 
 }  // namespace

@@ -68,6 +68,9 @@ class Reader {
 
   Result<LabelSet> ReadLabelSet() {
     CPA_ASSIGN_OR_RETURN(std::uint16_t count, Read<std::uint16_t>());
+    // Checked before reserving: a count the body cannot back must not
+    // size an allocation.
+    if (count > remaining() / sizeof(std::uint32_t)) return Truncated();
     std::vector<LabelId> labels;
     labels.reserve(count);
     for (std::uint16_t i = 0; i < count; ++i) {

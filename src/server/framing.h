@@ -18,18 +18,17 @@
 /// any number of frames in one send, the server drains every complete
 /// frame out of one recv — no newline scanning, no per-request syscall.
 ///
-/// **Sequence ids** (flags bit 0) are the pipelining contract: a response
-/// frame always echoes the request frame's flags and sequence id, so a
-/// client that tags its requests can match responses by id instead of by
-/// arrival order — and a transport that completes requests out of order
-/// (event_loop_transport.h) may then interleave responses freely. A frame
-/// with flags == 0 is a *legacy ordered* frame: its response also carries
-/// zeros, and ordered transports (and the ordered lane of the event loop)
-/// reply to legacy frames strictly in request order, so pre-sequencing
-/// clients interoperate byte-identically. Old servers reject a sequenced
-/// frame with a recoverable error reply (nonzero "reserved" bytes), which
-/// is exactly the probe `TcpFrameClient::NegotiateSequencing` uses to
-/// version-negotiate the feature; see docs/API.md.
+/// **Sequence ids** (flags bit 0): a response frame always echoes the
+/// request frame's flags and sequence id, and the transport
+/// (tcp_transport.h) replies to every frame of a connection in request
+/// order, tagged or not — so a pipelining client can read replies
+/// positionally and use the echoed id as a cross-check. A frame with
+/// flags == 0 is a *legacy* frame: its response also carries zeros, so
+/// pre-sequencing clients interoperate byte-identically. Old servers
+/// reject a sequenced frame with a recoverable error reply (nonzero
+/// "reserved" bytes), which is exactly the probe
+/// `TcpFrameClient::NegotiateSequencing` uses to version-negotiate the
+/// feature; see docs/API.md.
 ///
 /// `FrameDecoder` is the incremental reader both ends use: feed it raw
 /// bytes as they arrive, pull complete frames out. Oversized,

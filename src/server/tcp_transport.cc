@@ -1,10 +1,14 @@
 #include "server/tcp_transport.h"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -15,6 +19,99 @@
 
 namespace cpa {
 namespace {
+
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+
+/// Pause before retrying an accept that failed for lack of descriptors
+/// or kernel memory; finished connections are reaped first.
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
+
+/// Creates, binds and listens per `options` (TCP, or UNIX per
+/// `options.unix_path`); `port` receives the resolved port (0 for UNIX
+/// sockets). On failure the fd is closed (and a UNIX path unlinked)
+/// before the error returns.
+Result<int> BindAndListen(const TcpTransportOptions& options,
+                          std::uint16_t* port) {
+  if (!options.unix_path.empty()) {
+    sockaddr_un address{};
+    if (options.unix_path.size() >= sizeof(address.sun_path)) {
+      return Status::InvalidArgument(
+          StrFormat("unix socket path too long (%zu bytes, max %zu)",
+                    options.unix_path.size(), sizeof(address.sun_path) - 1));
+    }
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0) {
+      return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
+    }
+    address.sun_family = AF_UNIX;
+    std::memcpy(address.sun_path, options.unix_path.c_str(),
+                options.unix_path.size() + 1);
+    // A socket file left behind by a dead server would make bind fail
+    // with EADDRINUSE forever; unlink it first. A *live* server's file
+    // is replaced too — matching SO_REUSEADDR semantics on the TCP path.
+    ::unlink(options.unix_path.c_str());
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&address),
+               sizeof(address)) < 0) {
+      const Status status =
+          Status::IOError(StrFormat("bind %s: %s", options.unix_path.c_str(),
+                                    std::strerror(errno)));
+      ::close(fd);
+      return status;
+    }
+    if (::listen(fd, kListenBacklog) < 0) {
+      const Status status =
+          Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
+      ::close(fd);
+      ::unlink(options.unix_path.c_str());
+      return status;
+    }
+    *port = 0;
+    return fd;
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(options.port);
+  if (::inet_pton(AF_INET, options.bind_address.c_str(), &address.sin_addr) !=
+      1) {
+    ::close(fd);
+    return Status::InvalidArgument(
+        StrFormat("invalid bind address '%s'", options.bind_address.c_str()));
+  }
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&address), sizeof(address)) <
+      0) {
+    const Status status = Status::IOError(
+        StrFormat("bind %s:%u: %s", options.bind_address.c_str(),
+                  static_cast<unsigned>(options.port), std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  if (::listen(fd, kListenBacklog) < 0) {
+    const Status status =
+        Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+
+  sockaddr_in bound{};
+  socklen_t bound_len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) < 0) {
+    const Status status =
+        Status::IOError(StrFormat("getsockname: %s", std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  *port = ntohs(bound.sin_port);
+  return fd;
+}
 
 /// Writes all of `bytes` to `fd`, riding out EINTR and partial writes.
 /// MSG_NOSIGNAL: a peer that hung up costs an EPIPE, not a SIGPIPE.
@@ -63,11 +160,7 @@ TcpTransport::~TcpTransport() { Shutdown(); }
 Status TcpTransport::Start() {
   CPA_CHECK(listen_fd_ < 0) << "TcpTransport::Start called twice";
 
-  server_internal::ListenSocket listener;
-  const Status status = server_internal::BindAndListen(options_, &listener);
-  if (!status.ok()) return status;
-  listen_fd_ = listener.fd;
-  port_ = listener.port;
+  CPA_ASSIGN_OR_RETURN(listen_fd_, BindAndListen(options_, &port_));
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -77,8 +170,17 @@ void TcpTransport::AcceptLoop() {
   while (running_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener was shut down (or broke); stop accepting
+      // Shutdown wakes accept with an error; only then does the loop
+      // end. A connection reset before accept (ECONNABORTED) or a signal
+      // is retried at once. Anything else — out of descriptors (EMFILE,
+      // ENFILE) or kernel memory (ENOBUFS, ENOMEM) — frees what finished
+      // connections still hold and retries after a back-off; the pending
+      // connection stays queued in the backlog meanwhile.
+      if (!running_.load(std::memory_order_acquire)) break;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      ReapFinished();
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
     ReapFinished();
     if (num_connections_.load(std::memory_order_relaxed) >=
@@ -95,7 +197,10 @@ void TcpTransport::AcceptLoop() {
       ::close(fd);
       continue;
     }
-    server_internal::ConfigureAcceptedSocket(fd, options_);
+    if (options_.unix_path.empty()) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
 
     auto connection = std::make_unique<Connection>();
     connection->fd = fd;
@@ -142,8 +247,8 @@ void TcpTransport::ServeConnection(Connection* connection) {
                 ? server::EncodeBinaryError("", "", item->error)
                 : server::ErrorResponse("", "", item->error);
       }
-      // The response echoes the request's sequence tag; in-order
-      // completion is one valid completion order for sequenced frames.
+      // The response echoes the request's sequence tag (in request
+      // order, like every reply on this connection).
       reply.sequenced = item->sequenced;
       reply.sequence = item->sequence;
       frames_out_.fetch_add(1, std::memory_order_relaxed);
@@ -220,7 +325,6 @@ TcpTransportStats TcpTransport::stats() const {
   stats.recv_calls = recv_calls_.load(std::memory_order_relaxed);
   stats.send_calls = send_calls_.load(std::memory_order_relaxed);
   stats.partial_writes = partial_writes_.load(std::memory_order_relaxed);
-  // A blocking send never sees EAGAIN; wouldblock_events stays 0 here.
   return stats;
 }
 

@@ -1,7 +1,15 @@
 #include "server/tcp_transport.h"
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +21,7 @@
 #include "server/protocol.h"
 #include "server/tcp_client.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace cpa {
@@ -50,11 +59,12 @@ struct TestServer {
   std::unique_ptr<TcpTransport> transport;
 };
 
-std::string OpenRequestLine(const std::string& session) {
+std::string OpenRequestLine(const std::string& session,
+                            std::size_t num_items = 4) {
   return StrFormat(
       R"({"op":"open","session":"%s","config":{"method":"MV",)"
-      R"("num_items":4,"num_workers":16,"num_labels":4}})",
-      session.c_str());
+      R"("num_items":%zu,"num_workers":16,"num_labels":4}})",
+      session.c_str(), num_items);
 }
 
 /// Parses a JSON frame and checks `"ok"`.
@@ -424,6 +434,316 @@ TEST(TcpTransportTest, ConnectionLimitRejectsExtraClients) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   const JsonValue error = MustParseJson(reply.value(), false);
   EXPECT_EQ(error.Find("code")->string_value(), "FailedPrecondition");
+}
+
+TEST(TcpTransportTest, NegotiatesSequencing) {
+  TestServer server;
+  TcpFrameClient client = server.Connect();
+  auto negotiated = client.NegotiateSequencing();
+  ASSERT_TRUE(negotiated.ok()) << negotiated.status().ToString();
+  EXPECT_TRUE(negotiated.value());
+  // Legacy traffic on the same connection stays untagged.
+  const Frame reply =
+      MustRoundtrip(client, FrameKind::kJson, R"({"op":"methods"})").value();
+  EXPECT_FALSE(reply.sequenced);
+  EXPECT_EQ(reply.sequence, 0);
+}
+
+/// What the reply to one request of a sequenced burst must show.
+struct BurstExpectation {
+  std::size_t session = 0;
+  bool is_observe = false;
+  std::size_t batches_seen = 0;  ///< observes: per-session serial counter
+  bool binary = false;
+};
+
+TEST(TcpTransportTest, SequencedMixedBurstRepliesInRequestOrder) {
+  // Several sessions' observes and cached polls, shuffled into one
+  // pipelined burst of sequenced JSON and binary frames on one
+  // connection. Every reply must carry its request's id, in request
+  // order, and each session must end byte-identical to a serial run.
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kBatches = 6;
+  Rng rng(20180417);
+  // Distinct (item, worker) per (session, batch) so observes never
+  // collide; the per-session stream is the same for both runs.
+  const auto batch_answers = [](std::size_t session, std::size_t batch) {
+    return std::vector<Answer>{
+        {static_cast<ItemId>(batch), static_cast<WorkerId>(2 * session),
+         LabelSet{static_cast<LabelId>(session % 4)}},
+        {static_cast<ItemId>(batch), static_cast<WorkerId>(2 * session + 1),
+         LabelSet{static_cast<LabelId>((session + batch) % 4)}}};
+  };
+  const auto session_name = [](std::size_t session) {
+    return StrFormat("burst-%zu", session);
+  };
+  const auto open_sessions = [&](TcpFrameClient& client) {
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      MustParseJson(MustRoundtrip(client, FrameKind::kJson,
+                                  OpenRequestLine(session_name(s), 8))
+                        .value(),
+                    true);
+    }
+  };
+  const auto finalize_payload = [&](TcpFrameClient& client, std::size_t s) {
+    const Frame reply =
+        MustRoundtrip(client, FrameKind::kBinary,
+                      server::EncodeFinalizeRequest(session_name(s), true))
+            .value();
+    EXPECT_TRUE(MustParseBinary(reply).finalized);
+    return reply.payload;
+  };
+
+  // Serial reference: the same streams, one blocking roundtrip at a
+  // time, on a fresh server.
+  std::vector<std::string> reference(kSessions);
+  {
+    TestServer server;
+    TcpFrameClient client = server.Connect();
+    open_sessions(client);
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        MustParseBinary(
+            MustRoundtrip(client, FrameKind::kBinary,
+                          server::EncodeObserveRequest(session_name(s),
+                                                       batch_answers(s, b)))
+                .value());
+      }
+      reference[s] = finalize_payload(client, s);
+    }
+  }
+
+  TestServer server(/*num_threads=*/2);
+  TcpFrameClient client = server.Connect();
+  open_sessions(client);
+  std::string burst;
+  std::vector<BurstExpectation> expected;
+  std::vector<std::size_t> sent(kSessions, 0);
+  const auto next_sequence = [&] {
+    return static_cast<std::uint16_t>(expected.size() + 1);
+  };
+  while (true) {
+    // A random session that still has observes to send; each session's
+    // own observes stay in stream order.
+    std::vector<std::size_t> pending;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      if (sent[s] < kBatches) pending.push_back(s);
+    }
+    if (pending.empty()) break;
+    BurstExpectation observe;
+    observe.session = pending[rng.NextBounded(pending.size())];
+    observe.is_observe = true;
+    observe.batches_seen = ++sent[observe.session];
+    observe.binary = rng.NextBernoulli(0.5);
+    const std::vector<Answer> answers =
+        batch_answers(observe.session, observe.batches_seen - 1);
+    const std::string name = session_name(observe.session);
+    server::AppendSequencedFrame(
+        burst, observe.binary ? FrameKind::kBinary : FrameKind::kJson,
+        observe.binary ? server::EncodeObserveRequest(name, answers)
+                       : server::MakeObserveRequest(name, answers),
+        next_sequence());
+    expected.push_back(observe);
+    if (rng.NextBernoulli(0.5)) {
+      BurstExpectation poll;
+      poll.session = rng.NextBounded(kSessions);
+      poll.binary = rng.NextBernoulli(0.5);
+      const std::string polled = session_name(poll.session);
+      server::AppendSequencedFrame(
+          burst, poll.binary ? FrameKind::kBinary : FrameKind::kJson,
+          poll.binary
+              ? server::EncodeSnapshotRequest(polled, /*refresh=*/false,
+                                              /*include_predictions=*/false)
+              : StrFormat("{\"op\":\"snapshot\",\"session\":\"%s\","
+                          "\"refresh\":false,\"predictions\":false}",
+                          polled.c_str()),
+          next_sequence());
+      expected.push_back(poll);
+    }
+  }
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    auto read = client.ReadFrame();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    const Frame& reply = read.value();
+    ASSERT_TRUE(reply.sequenced);
+    ASSERT_EQ(reply.sequence, k + 1) << "reply out of request order";
+    const BurstExpectation& expectation = expected[k];
+    if (expectation.binary) {
+      const BinaryResponse response = MustParseBinary(reply);
+      EXPECT_TRUE(response.ok);
+      if (expectation.is_observe) {
+        EXPECT_EQ(response.ack.batches_seen, expectation.batches_seen)
+            << "session " << expectation.session;
+      }
+    } else {
+      const JsonValue response = MustParseJson(reply, true);
+      if (expectation.is_observe) {
+        EXPECT_EQ(response.Find("batches_seen")->number_value(),
+                  static_cast<double>(expectation.batches_seen))
+            << "session " << expectation.session;
+      }
+    }
+  }
+
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    EXPECT_EQ(finalize_payload(client, s), reference[s]) << "session " << s;
+  }
+}
+
+TEST(TcpTransportTest, SequencedFramingErrorRepliesWithTag) {
+  TestServer server(/*num_threads=*/1, /*accept_binary=*/true,
+                    /*max_frame_bytes=*/256);
+  TcpFrameClient client = server.Connect();
+
+  std::string burst;
+  server::AppendSequencedFrame(burst, FrameKind::kJson,
+                               std::string(4096, ' '), 7);
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+  auto reply = client.ReadFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(reply.value().sequenced);
+  EXPECT_EQ(reply.value().sequence, 7);
+  MustParseJson(reply.value(), false);
+
+  // The connection survives the rejection.
+  MustParseJson(
+      MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("alive")).value(),
+      true);
+}
+
+TEST(TcpTransportTest, MidPipelineDropKeepsSessionAndServerAlive) {
+  TestServer server;
+  {
+    TcpFrameClient client = server.Connect();
+    MustParseJson(
+        MustRoundtrip(client, FrameKind::kJson, OpenRequestLine("drop"))
+            .value(),
+        true);
+    // A full pipelined burst, then vanish without reading a byte.
+    std::string burst;
+    std::uint16_t seq = 1;
+    server::AppendSequencedFrame(
+        burst, FrameKind::kBinary,
+        server::EncodeObserveRequest("drop", kAnswers), seq++);
+    for (int k = 0; k < 8; ++k) {
+      server::AppendSequencedFrame(
+          burst, FrameKind::kBinary,
+          server::EncodeSnapshotRequest("drop", /*refresh=*/k == 0,
+                                        /*include_predictions=*/true),
+          seq++);
+    }
+    ASSERT_TRUE(client.SendRaw(burst).ok());
+    client.Close();
+  }
+
+  // The handler finishes the burst, fails to write, and ends; the
+  // session — and the transport — survive.
+  for (int i = 0; i < 500 && server.transport->num_connections() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.transport->num_connections(), 0u);
+  EXPECT_EQ(server.consensus->sessions().num_sessions(), 1u);
+
+  // A new connection picks the session up where the burst left it.
+  TcpFrameClient client = server.Connect();
+  const BinaryResponse finalized = MustParseBinary(
+      MustRoundtrip(client, FrameKind::kBinary,
+                    server::EncodeFinalizeRequest("drop", true))
+          .value());
+  EXPECT_TRUE(finalized.finalized);
+  EXPECT_EQ(finalized.answers_seen, kAnswers.size());
+  MustParseJson(MustRoundtrip(client, FrameKind::kJson,
+                              R"({"op":"close","session":"drop"})")
+                    .value(),
+                true);
+}
+
+/// Opens a raw connection to `port`, sends one `methods` request and
+/// waits at most `timeout_seconds` for an ok reply. Unlike
+/// `TcpFrameClient`, it gives up instead of blocking forever on a server
+/// that never accepts.
+bool ServedWithin(std::uint16_t port, int timeout_seconds) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  timeval timeout{};
+  timeout.tv_sec = timeout_seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  const std::string request =
+      server::EncodeFrame({FrameKind::kJson, R"({"op":"methods"})"});
+  bool served = false;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                sizeof(address)) == 0 &&
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(request.size())) {
+    server::FrameDecoder decoder;
+    char buffer[4096];
+    while (true) {
+      const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+      if (n <= 0) break;  // EOF, error or timeout
+      decoder.Append(std::string_view(buffer, static_cast<std::size_t>(n)));
+      if (auto item = decoder.Next()) {
+        served = item->error.ok() &&
+                 item->frame.payload.find(R"("ok":true)") != std::string::npos;
+        break;
+      }
+    }
+  }
+  ::close(fd);
+  return served;
+}
+
+TEST(TcpTransportTest, AcceptLoopSurvivesDescriptorExhaustion) {
+  // Run this process out of file descriptors while a client waits in
+  // the listen backlog: accept(2) fails with EMFILE. Once descriptors
+  // free up again the listener must go on serving, not stay deaf.
+  TestServer server;
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+
+  // Made before the squeeze: connecting it once no descriptor is left
+  // queues a connection that accept(2) cannot take.
+  const int spare = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(spare, 0);
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit squeezed = original;
+  squeezed.rlim_cur = static_cast<rlim_t>(lowest_free) + 16;
+  ASSERT_LE(squeezed.rlim_cur, original.rlim_max);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &squeezed), 0);
+
+  // Clients and the server share this process's descriptor table, so
+  // opening clients until socket(2) fails exhausts it for both.
+  std::vector<TcpFrameClient> clients;
+  for (int i = 0; i < 64; ++i) {
+    auto client = TcpFrameClient::Connect("127.0.0.1", server.transport->port());
+    if (!client.ok()) break;
+    clients.push_back(std::move(client).value());
+  }
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(server.transport->port());
+  ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  const int connected = ::connect(
+      spare, reinterpret_cast<const sockaddr*>(&address), sizeof(address));
+  // Give the accept loop time to hit EMFILE on the queued connection.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const std::size_t opened = clients.size();
+  clients.clear();
+  ::close(spare);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &original), 0);
+  EXPECT_EQ(connected, 0);
+  EXPECT_LT(opened, 64u) << "the descriptor limit was never reached";
+
+  EXPECT_TRUE(ServedWithin(server.transport->port(), /*timeout_seconds=*/5))
+      << "listener stopped accepting after running out of descriptors";
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 Usage: tcp_smoke.py [--host HOST] --port PORT
        tcp_smoke.py --router --server-bin build/src/cpa_server
-       tcp_smoke.py --pipelined --server-bin build/src/cpa_server
 
 Speaks the server's real wire protocol from scratch — the 8-byte frame
 header and the binary codec are reimplemented here in Python, so this
@@ -18,10 +17,12 @@ lifecycle twice over one dataset:
 
 and asserts both transports report the same counters and byte-identical
 final predictions. Also pokes the server's error paths (unknown op,
-malformed binary body), checks the connection survives them, and probes
-sequence-number support (a sequenced `methods` request — a server that
-echoes the tag pipelines, one that rejects the "reserved" bytes is
-legacy). Legacy (unsequenced) replies are still asserted to carry
+malformed binary body), checks the connection survives them, and
+negotiates sequence numbers (a sequenced `methods` request whose reply
+must echo the tag). It then sends one sequenced burst — a refresh
+snapshot plus 16 cached polls, JSON and binary mixed, in a single send —
+and asserts every reply carries its request's id exactly once and in
+request order. Legacy (unsequenced) replies are still asserted to carry
 all-zero reserved header bytes, byte for byte.
 
 With `--router` the script spawns its own fleet — two `cpa_server --tcp`
@@ -31,19 +32,11 @@ ids it knows land on specific workers, runs the same two sessions
 through the router, then SIGKILLs one worker and asserts its sessions
 get clean error replies while the other worker's sessions keep serving.
 
-With `--pipelined` the script spawns a `cpa_server --tcp --event-loop`,
-negotiates sequencing, opens a full-refit CPA session big enough that a
-refresh snapshot is deliberately slow, then sends
-[sequenced refresh + K sequenced cached polls] as one burst and asserts
-the polls' replies overtake the refresh reply (out-of-order completion),
-every reply matching its request's sequence id exactly once.
-
 Exit code 0 on success; raises with a diagnostic otherwise.
 """
 
 import argparse
 import json
-import random
 import signal
 import socket
 import struct
@@ -296,6 +289,51 @@ def poke_error_paths(sock, reader):
     expect_json_ok(*reader.next_frame(), op="list")
 
 
+def run_sequenced_burst(sock, reader, session, polls=16):
+    """One send carrying a sequenced refresh plus `polls` sequenced cached
+    polls, JSON and binary alternating. Replies must come back one per
+    request, in request order, each echoing its request's id and kind."""
+    sock.sendall(json_frame({"op": "open", "session": session,
+                             "config": OPEN_CONFIG}))
+    expect_json_ok(*reader.next_frame(), op="open")
+    batch = [{"item": i, "worker": w, "labels": labels}
+             for i, w, labels in ANSWERS]
+    sock.sendall(json_frame({"op": "observe", "session": session,
+                             "answers": batch}))
+    expect_json_ok(*reader.next_frame(), op="observe")
+
+    refresh = json.dumps({"op": "snapshot", "session": session},
+                         separators=(",", ":")).encode()
+    json_poll = json.dumps({"op": "snapshot", "session": session,
+                            "refresh": False, "predictions": False},
+                           separators=(",", ":")).encode()
+    binary_poll = encode_snapshot_like(MSG_SNAPSHOT_REQUEST, session, 0)
+    kinds = [KIND_JSON] + [KIND_JSON if k % 2 == 0 else KIND_BINARY
+                           for k in range(polls)]
+    burst = seq_frame(KIND_JSON, refresh, 1)
+    for k in range(polls):
+        kind = kinds[k + 1]
+        burst += seq_frame(kind, json_poll if kind == KIND_JSON
+                           else binary_poll, 2 + k)
+    sock.sendall(burst)  # one send: refresh + the cached polls
+
+    for expected in range(1, polls + 2):
+        kind, payload, seq = reader.next_tagged_frame()
+        assert seq == expected, \
+            f"reply tagged {seq} where {expected} was due (request order)"
+        assert kind == kinds[expected - 1], f"reply {seq}: wrong frame kind"
+        if kind == KIND_JSON:
+            reply = json.loads(payload)
+        else:
+            reply = decode_binary_response(payload)
+        assert reply.get("ok") is True, reply
+        assert reply["answers_seen"] == len(ANSWERS), reply
+
+    sock.sendall(json_frame({"op": "close", "session": session}))
+    expect_json_ok(*reader.next_frame(), op="close")
+    return polls
+
+
 # --- the router fleet mode -------------------------------------------------
 
 def ring_hash(data):
@@ -434,101 +472,6 @@ def run_router_mode(server_bin, host):
                 proc.kill()
 
 
-# --- the pipelined (out-of-order) mode -------------------------------------
-
-def run_pipelined_mode(server_bin, host):
-    """Spawns an epoll server, negotiates sequencing, and proves cached
-    polls overtake a deliberately slowed refresh in one pipelined burst."""
-    # A stream big enough that a full-refit CPA refresh takes real time
-    # while a cached poll stays microseconds — the gap the polls overtake.
-    rng = random.Random(20180417)
-    num_items, num_workers, num_labels = 150, 40, 8
-    answers = []
-    for item in range(num_items):
-        for worker in rng.sample(range(num_workers), 8):
-            count = rng.randint(1, 3)
-            labels = sorted(rng.sample(range(num_labels), count))
-            answers.append({"item": item, "worker": worker, "labels": labels})
-    config = {"method": "CPA", "num_items": num_items,
-              "num_workers": num_workers, "num_labels": num_labels}
-    session = "smoke-pipelined"
-    polls = 16
-    rounds = 6  # each round re-arms the refresh with a fresh data slice
-
-    proc, port = spawn_server(
-        server_bin, ["--tcp", "--event-loop", "--bind", host], "listening on ")
-    try:
-        with socket.create_connection((host, port), timeout=30) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = FrameReader(sock)
-            assert negotiate_sequencing(sock, reader), \
-                "--event-loop server must accept sequenced frames"
-
-            sock.sendall(json_frame({"op": "open", "session": session,
-                                     "config": config}))
-            expect_json_ok(*reader.next_frame(), op="open")
-
-            # Half the stream up front; the rest re-arms the refresh one
-            # slice per round (duplicate answers are rejected, so slices
-            # never repeat).
-            half = len(answers) // 2
-            slices = [answers[:half]]
-            step = max(1, (len(answers) - half) // rounds)
-            slices += [answers[half + r * step:half + (r + 1) * step]
-                       for r in range(rounds)]
-
-            refresh = json.dumps({"op": "snapshot", "session": session},
-                                 separators=(",", ":")).encode()
-            poll = json.dumps({"op": "snapshot", "session": session,
-                               "refresh": False, "predictions": False},
-                              separators=(",", ":")).encode()
-            overtook = 0
-            for round_index in range(rounds):
-                batch = slices[round_index]  # slice 0 is the big initial feed
-                if batch:
-                    sock.sendall(json_frame({"op": "observe",
-                                             "session": session,
-                                             "answers": batch}))
-                    expect_json_ok(*reader.next_frame(), op="observe")
-                burst = seq_frame(KIND_JSON, refresh, 1)
-                for k in range(polls):
-                    burst += seq_frame(KIND_JSON, poll, 2 + k)
-                sock.sendall(burst)  # one send: refresh + K cached polls
-                seen = set()
-                refresh_done = False
-                for _ in range(polls + 1):
-                    kind, payload, seq = reader.next_tagged_frame()
-                    assert kind == KIND_JSON and seq is not None
-                    assert 1 <= seq <= polls + 1 and seq not in seen, \
-                        f"bad or duplicate sequence id {seq}"
-                    seen.add(seq)
-                    reply = json.loads(payload)
-                    assert reply.get("ok") is True, reply
-                    if seq == 1:
-                        refresh_done = True
-                    elif not refresh_done:
-                        overtook += 1
-                if overtook and round_index > 0:
-                    break  # proven; keep runtime bounded
-
-            assert overtook > 0, (
-                "no poll reply ever overtook the slow refresh — "
-                "sequenced frames are not completing out of order")
-
-            sock.sendall(json_frame({"op": "close", "session": session}))
-            expect_json_ok(*reader.next_frame(), op="close")
-        print(f"tcp_smoke: OK — pipelined mode: {overtook} cached polls "
-              f"overtook their refresh, every reply matched its sequence id")
-        return 0
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--host", default="127.0.0.1")
@@ -536,27 +479,24 @@ def main():
                         help="port of an already-running cpa_server --tcp")
     parser.add_argument("--router", action="store_true",
                         help="spawn a 2-worker fleet + router and smoke it")
-    parser.add_argument("--pipelined", action="store_true",
-                        help="spawn an --event-loop server and assert "
-                             "out-of-order pipelined completion")
     parser.add_argument("--server-bin", default="build/src/cpa_server",
-                        help="cpa_server binary for --router/--pipelined mode")
+                        help="cpa_server binary for --router mode")
     args = parser.parse_args()
 
     if args.router:
         return run_router_mode(args.server_bin, args.host)
-    if args.pipelined:
-        return run_pipelined_mode(args.server_bin, args.host)
     if args.port is None:
-        parser.error("--port is required unless --router/--pipelined is given")
+        parser.error("--port is required unless --router is given")
 
     with socket.create_connection((args.host, args.port), timeout=30) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = FrameReader(sock)
-        sequenced = negotiate_sequencing(sock, reader)
+        assert negotiate_sequencing(sock, reader), \
+            "server did not echo the sequence tag"
         json_final = run_json_session(sock, reader, "smoke-json")
         binary_final = run_binary_session(sock, reader, "smoke-binary")
         poke_error_paths(sock, reader)
+        polls = run_sequenced_burst(sock, reader, "smoke-burst")
 
     for key in ("method", "batches_seen", "answers_seen", "finalized"):
         assert json_final[key] == binary_final[key], \
@@ -567,8 +507,8 @@ def main():
     print(f"tcp_smoke: OK — both transports agree on "
           f"{len(json_final['predictions'])} predictions "
           f"({json_final['answers_seen']} answers, "
-          f"method {json_final['method']}, sequencing "
-          f"{'negotiated' if sequenced else 'unsupported (legacy)'})")
+          f"method {json_final['method']}); a sequenced refresh + {polls} "
+          f"cached polls came back in request order")
     return 0
 
 
